@@ -8,24 +8,22 @@ from repro.analysis.fig_methodology import run_fig3, run_table1
 from repro.analysis.fig_preferences import run_fig4, run_fig5, run_fig6
 from repro.analysis.fig_time import run_fig7, run_fig8, run_fig9
 from repro.analysis.perf import SMOKE, PerfReport, run_perf_suite
-from repro.analysis.recovery import (
+from repro.analysis.paired import (
+    DEFAULT_SENSITIVITY_NAMES,
     RECOVERY_FIXTURES,
     RECOVERY_SCALES,
-    RecoveryFixture,
-    RecoveryOutcome,
-    run_recovery,
-    run_recovery_suite,
-)
-from repro.analysis.regions_ext import run_regions
-from repro.analysis.sensitivity import (
-    DEFAULT_SENSITIVITY_NAMES,
     SENSITIVITY_FIXTURES,
     SENSITIVITY_SCALES,
+    RecoveryFixture,
+    RecoveryOutcome,
     SensitivityFixture,
     SensitivityOutcome,
+    run_recovery,
+    run_recovery_suite,
     run_sensitivity,
     run_sensitivity_suite,
 )
+from repro.analysis.regions_ext import run_regions
 from repro.analysis.sessions_ext import run_sessions
 from repro.analysis.summary import failing_checks, summarize
 

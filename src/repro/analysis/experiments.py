@@ -140,9 +140,8 @@ def run_experiment(
     ``supervisor`` (a :class:`~repro.runtime.supervisor.Supervisor`) puts
     the whole run under supervision: its deadline becomes ambient for
     every cooperative checkpoint, its watchdog supervises process-backend
-    workers, its circuit breaker guards the resilient recovery path, and
-    its memory governor bounds sweep working sets. Everything supervision
-    sheds, trips, kills or spills lands in the run manifest under
+    workers, and its memory governor bounds sweep working sets. Everything
+    supervision sheds, kills or spills lands in the run manifest under
     ``extra.supervision`` plus the regular degradations list.
 
     The run is wrapped in one root span per experiment, and with
@@ -192,8 +191,6 @@ def run_experiment(
                     else resolve_executor(None),
                     retry=retry,
                     checkpoint=journal,
-                    breaker=supervisor.breaker if supervisor is not None
-                    else None,
                 )
 
             kwargs = {}

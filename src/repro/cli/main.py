@@ -15,19 +15,19 @@ Exit codes follow the error taxonomy in :mod:`repro.errors`: 0 success,
 1 generic failure (including failed experiment checks), 2 bad
 request/config, 3 schema violation, 4 ingest error budget exceeded,
 5 empty/insufficient data, 6 privacy refusal, 7 task retries exhausted,
-8 deadline exceeded, 9 circuit breaker open, 10 memory budget exceeded.
+8 deadline exceeded, 10 memory budget exceeded (9 is retired).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from repro._version import __version__
 from repro.errors import (
-    CircuitOpenError,
     ConfigError,
     DeadlineExceededError,
     EmptyDataError,
@@ -51,7 +51,6 @@ _EXIT_CODES = (
     (PrivacyError, 6),
     (TaskFailedError, 7),
     (DeadlineExceededError, 8),
-    (CircuitOpenError, 9),
     (MemoryBudgetError, 10),
     (ReproError, 1),
 )
@@ -318,11 +317,6 @@ def _runtime_parent() -> argparse.ArgumentParser:
         help="memory budget for sweep working sets; completed slices past "
              "the budget spill to disk, and a single slice that cannot fit "
              "at all stops with exit code 10")
-    group.add_argument(
-        "--breaker", action="store_true",
-        help="guard flaky stages and ingestion with a circuit breaker: "
-             "repeated failures open the circuit (exit code 9) instead of "
-             "retrying into a known-bad dependency")
     return parent
 
 
@@ -330,15 +324,13 @@ def _supervisor_from(args: argparse.Namespace):
     """Build the run's Supervisor, or ``None`` when no flag asks for one."""
     deadline_s = getattr(args, "deadline_s", None)
     memory_budget_mb = getattr(args, "memory_budget_mb", None)
-    breaker = getattr(args, "breaker", False)
-    if deadline_s is None and memory_budget_mb is None and not breaker:
+    if deadline_s is None and memory_budget_mb is None:
         return None
     from repro.runtime import Supervisor
 
     return Supervisor(
         deadline_s=deadline_s,
         memory_budget_mb=memory_budget_mb,
-        breaker=breaker,
     )
 
 
@@ -374,19 +366,12 @@ def _ingest_policy(args: argparse.Namespace):
     )
 
 
-def _read_logs(path: Path, args: argparse.Namespace, supervisor=None):
-    """Read a telemetry file honouring the command's ingest flags.
-
-    With a supervised circuit breaker the reader call routes through it, so
-    repeatedly-failing inputs open the circuit instead of being hammered.
-    """
+def _read_logs(path: Path, args: argparse.Namespace):
+    """Read a telemetry file honouring the command's ingest flags."""
     from repro.telemetry import read_csv, read_jsonl
 
-    policy = _ingest_policy(args)
     reader = read_csv if path.suffix == ".csv" else read_jsonl
-    if supervisor is not None and supervisor.breaker is not None:
-        return supervisor.breaker.call(reader, path, policy=policy)
-    return reader(path, policy=policy)
+    return reader(path, policy=_ingest_policy(args))
 
 
 def _report_ingest(logs) -> None:
@@ -394,6 +379,25 @@ def _report_ingest(logs) -> None:
     report = getattr(logs, "ingest_report", None)
     if report is not None and report.n_bad:
         print(f"note: {report.summary()}", file=sys.stderr)
+
+
+def _harness_flags(parser: argparse.ArgumentParser, artifact: str,
+                   writes: str) -> None:
+    """The flags ``recover`` and ``sensitivity`` share."""
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--executor", default="serial",
+                        help=f"execution backend (serial or process; "
+                             f"{artifact} artifacts are bit-identical "
+                             f"across backends)")
+    parser.add_argument("--out-dir", default=None,
+                        help=f"write {writes} here")
+    parser.add_argument("--baseline-dir", default=None,
+                        help=f"obs-diff each fixture's {artifact} against "
+                             f"<dir>/<name>.{artifact}.json and fail on "
+                             f"drift (requires --out-dir)")
+    parser.add_argument("--curve-tol", type=float, default=None,
+                        help="absolute tolerance for the baseline diff "
+                             "(default: 0.02)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -519,21 +523,9 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[observability])
     rec.add_argument("fixtures", nargs="*", default=[],
                      help="fixture names (default: the whole matrix)")
-    rec.add_argument("--seed", type=int, default=7)
     rec.add_argument("--scale", choices=["small", "full"], default="small")
-    rec.add_argument("--executor", default="serial",
-                     help="execution backend (serial or process; outcomes "
-                          "are bit-identical across backends)")
-    rec.add_argument("--out-dir", default=None,
-                     help="write per-fixture curve + verdict artifacts and "
-                          "a summary.json here")
-    rec.add_argument("--baseline-dir", default=None,
-                     help="obs-diff each fixture's curve against "
-                          "<dir>/<name>.curve.json and fail on drift "
-                          "(requires --out-dir)")
-    rec.add_argument("--curve-tol", type=float, default=None,
-                     help="absolute NLP tolerance for the baseline diff "
-                          "(default: 0.02)")
+    _harness_flags(rec, "curve",
+                   "per-fixture curve + verdict artifacts and a summary.json")
 
     sens = sub.add_parser(
         "sensitivity",
@@ -546,23 +538,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sens.add_argument("--scenario", default="owa-queue",
                       help="workload scenario to degrade (default: "
                            "owa-queue)")
-    sens.add_argument("--seed", type=int, default=7)
     sens.add_argument("--scale", choices=["smoke", "full"], default="smoke")
     sens.add_argument("--smoke", action="store_true",
                       help="alias for --scale smoke (the CI invocation)")
-    sens.add_argument("--executor", default="serial",
-                      help="execution backend (serial or process; frontiers "
-                           "are bit-identical across backends)")
-    sens.add_argument("--out-dir", default=None,
-                      help="write per-fixture frontier artifacts, "
-                           "summary.json, and a timings sidecar here")
-    sens.add_argument("--baseline-dir", default=None,
-                      help="obs-diff each fixture's frontier against "
-                           "<dir>/<name>.frontier.json and fail on drift "
-                           "(requires --out-dir)")
-    sens.add_argument("--curve-tol", type=float, default=None,
-                      help="absolute bias tolerance for the baseline diff "
-                           "(default: 0.02)")
+    _harness_flags(sens, "frontier", "per-fixture frontier artifacts, "
+                                     "summary.json, and a timings sidecar")
 
     top = sub.add_parser(
         "top",
@@ -704,21 +684,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                   "are ignored", file=sys.stderr)
         curve = curve_from_counts(load_counts(path), config,
                                   slice_description=path.stem)
-    elif supervisor is not None:
-        with supervisor.scope():
-            logs = _read_logs(path, args, supervisor=supervisor)
+    else:
+        with (supervisor.scope() if supervisor is not None
+              else contextlib.nullcontext()):
+            logs = _read_logs(path, args)
             _report_ingest(logs)
             engine = AutoSens(config, executor=shard_executor)
             curve = engine.preference_curve(
                 logs, action=args.action, user_class=args.user_class
             )
-    else:
-        logs = _read_logs(path, args)
-        _report_ingest(logs)
-        engine = AutoSens(config, executor=shard_executor)
-        curve = engine.preference_curve(
-            logs, action=args.action, user_class=args.user_class
-        )
     probes = [400.0, 500.0, 800.0, 1000.0, 1500.0, 2000.0]
     rows = []
     for probe in probes:
@@ -935,20 +909,76 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _cmd_recover(args: argparse.Namespace) -> int:
-    from repro.analysis.recovery import RECOVERY_FIXTURES, run_recovery_suite
-    from repro.viz.table import format_table
-
-    names = args.fixtures or sorted(RECOVERY_FIXTURES)
-    unknown = [n for n in names if n not in RECOVERY_FIXTURES]
+def _harness_usage_error(args: argparse.Namespace, names: List[str],
+                         fixtures, artifact: str) -> int:
+    """Exit 2 for an unknown fixture or a baseline diff with nothing to
+    diff; 0 when the request is coherent."""
+    unknown = [n for n in names if n not in fixtures]
     if unknown:
         print(f"unknown fixture(s) {', '.join(unknown)}; "
-              f"known: {', '.join(sorted(RECOVERY_FIXTURES))}", file=sys.stderr)
+              f"known: {', '.join(sorted(fixtures))}", file=sys.stderr)
         return 2
     if args.baseline_dir and not args.out_dir:
         print("--baseline-dir requires --out-dir (the diff needs the "
-              "candidate curve artifacts on disk)", file=sys.stderr)
+              f"candidate {artifact} artifacts on disk)", file=sys.stderr)
         return 2
+    return 0
+
+
+def _harness_gate(args: argparse.Namespace, label: str, names: List[str],
+                  outcomes, artifact: str) -> int:
+    """Gate a paired-twin suite: silent bias or baseline drift exits 1.
+
+    With ``--baseline-dir`` each fixture's ``<name>.<artifact>.json`` is
+    ``obs diff``-ed against the committed baseline of the same name.
+    """
+    biased = [n for n in names if not outcomes[n].gate_passed]
+    drifted: List[str] = []
+    if args.baseline_dir:
+        import repro.obs as obs
+        from repro.obs.diff import DEFAULT_CURVE_TOL
+
+        baseline_dir = Path(args.baseline_dir)
+        out_dir = Path(args.out_dir)
+        for name in names:
+            baseline = baseline_dir / f"{name}.{artifact}.json"
+            if not baseline.exists():
+                print(f"{name}: no committed baseline at {baseline}",
+                      file=sys.stderr)
+                drifted.append(name)
+                continue
+            report = obs.diff_paths(
+                baseline, out_dir / f"{name}.{artifact}.json",
+                curve_tol=(args.curve_tol if args.curve_tol is not None
+                           else DEFAULT_CURVE_TOL),
+            )
+            if obs.diff_exit_code(report) != 0:
+                summary = report["summary"]
+                print(f"{name}: {artifact} drifted from baseline "
+                      f"({summary['regressed']} regressed, "
+                      f"{summary['added'] + summary['removed']} "
+                      f"added/removed)", file=sys.stderr)
+                drifted.append(name)
+
+    if biased:
+        print(f"{label} gate: FAIL — silent bias in {', '.join(biased)}")
+        return 1
+    if drifted:
+        print(f"{label} gate: FAIL — baseline drift in {', '.join(drifted)}")
+        return 1
+    print(f"{label} gate: PASS ({len(names)} fixture(s); no silent bias"
+          + (", no baseline drift)" if args.baseline_dir else ")"))
+    return 0
+
+
+def _cmd_recover(args: argparse.Namespace) -> int:
+    from repro.analysis.paired import RECOVERY_FIXTURES, run_recovery_suite
+    from repro.viz.table import format_table
+
+    names = args.fixtures or sorted(RECOVERY_FIXTURES)
+    status = _harness_usage_error(args, names, RECOVERY_FIXTURES, "curve")
+    if status:
+        return status
 
     outcomes = run_recovery_suite(
         names, seed=args.seed, scale=args.scale, executor=args.executor,
@@ -966,48 +996,11 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         ])
     print(format_table(
         ["fixture", "verdict", "max |dNLP|", "tol", "regime flags"], rows))
-
-    biased = [n for n in names if not outcomes[n].gate_passed]
-    drifted: List[str] = []
-    if args.baseline_dir:
-        import repro.obs as obs
-        from repro.obs.diff import DEFAULT_CURVE_TOL
-
-        baseline_dir = Path(args.baseline_dir)
-        out_dir = Path(args.out_dir)
-        for name in names:
-            baseline = baseline_dir / f"{name}.curve.json"
-            if not baseline.exists():
-                print(f"{name}: no committed baseline at {baseline}",
-                      file=sys.stderr)
-                drifted.append(name)
-                continue
-            report = obs.diff_paths(
-                baseline, out_dir / f"{name}.curve.json",
-                curve_tol=(args.curve_tol if args.curve_tol is not None
-                           else DEFAULT_CURVE_TOL),
-            )
-            if obs.diff_exit_code(report) != 0:
-                summary = report["summary"]
-                print(f"{name}: curve drifted from baseline "
-                      f"({summary['regressed']} regressed, "
-                      f"{summary['added'] + summary['removed']} "
-                      f"added/removed)", file=sys.stderr)
-                drifted.append(name)
-
-    if biased:
-        print(f"recovery gate: FAIL — silent bias in {', '.join(biased)}")
-        return 1
-    if drifted:
-        print(f"recovery gate: FAIL — baseline drift in {', '.join(drifted)}")
-        return 1
-    print(f"recovery gate: PASS ({len(names)} fixture(s); no silent bias"
-          + (", no baseline drift)" if args.baseline_dir else ")"))
-    return 0
+    return _harness_gate(args, "recovery", names, outcomes, "curve")
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    from repro.analysis.sensitivity import (
+    from repro.analysis.paired import (
         DEFAULT_SENSITIVITY_NAMES,
         SENSITIVITY_FIXTURES,
         run_sensitivity_suite,
@@ -1016,19 +1009,13 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     from repro.workload.scenarios import SCENARIOS
 
     names = args.fixtures or list(DEFAULT_SENSITIVITY_NAMES)
-    unknown = [n for n in names if n not in SENSITIVITY_FIXTURES]
-    if unknown:
-        print(f"unknown fixture(s) {', '.join(unknown)}; "
-              f"known: {', '.join(sorted(SENSITIVITY_FIXTURES))}",
-              file=sys.stderr)
-        return 2
+    status = _harness_usage_error(args, names, SENSITIVITY_FIXTURES,
+                                  "frontier")
+    if status:
+        return status
     if args.scenario not in SCENARIOS:
         print(f"unknown scenario {args.scenario!r}; "
               f"known: {', '.join(sorted(SCENARIOS))}", file=sys.stderr)
-        return 2
-    if args.baseline_dir and not args.out_dir:
-        print("--baseline-dir requires --out-dir (the diff needs the "
-              "candidate frontier artifacts on disk)", file=sys.stderr)
         return 2
 
     scale = "smoke" if args.smoke else args.scale
@@ -1049,45 +1036,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
             ])
     print(format_table(
         ["fixture", "level", "verdict", "|bias|inf", "tol", "error"], rows))
-
-    biased = [n for n in names if not outcomes[n].gate_passed]
-    drifted: List[str] = []
-    if args.baseline_dir:
-        import repro.obs as obs
-        from repro.obs.diff import DEFAULT_CURVE_TOL
-
-        baseline_dir = Path(args.baseline_dir)
-        out_dir = Path(args.out_dir)
-        for name in names:
-            baseline = baseline_dir / f"{name}.frontier.json"
-            if not baseline.exists():
-                print(f"{name}: no committed baseline at {baseline}",
-                      file=sys.stderr)
-                drifted.append(name)
-                continue
-            report = obs.diff_paths(
-                baseline, out_dir / f"{name}.frontier.json",
-                curve_tol=(args.curve_tol if args.curve_tol is not None
-                           else DEFAULT_CURVE_TOL),
-            )
-            if obs.diff_exit_code(report) != 0:
-                summary = report["summary"]
-                print(f"{name}: frontier drifted from baseline "
-                      f"({summary['regressed']} regressed, "
-                      f"{summary['added'] + summary['removed']} "
-                      f"added/removed)", file=sys.stderr)
-                drifted.append(name)
-
-    if biased:
-        print(f"sensitivity gate: FAIL — silent bias in {', '.join(biased)}")
-        return 1
-    if drifted:
-        print("sensitivity gate: FAIL — baseline drift in "
-              f"{', '.join(drifted)}")
-        return 1
-    print(f"sensitivity gate: PASS ({len(names)} fixture(s); no silent bias"
-          + (", no baseline drift)" if args.baseline_dir else ")"))
-    return 0
+    return _harness_gate(args, "sensitivity", names, outcomes, "frontier")
 
 
 def _fetch_progress(target: str) -> dict:

@@ -5,11 +5,14 @@ in-memory :class:`LogStore`. The sufficient statistics of the pipeline,
 however, are tiny: per-(slot, latency-bin) biased counts and unbiased-draw
 counts (:class:`~repro.core.alpha.SlottedCounts`). This module makes those
 statistics **mergeable**, so telemetry can be processed chunk by chunk (or
-shard by shard on different machines) and combined:
+shard by shard on different machines) and combined. Any sequence of
+:class:`LogStore` chunks works — one store per daily log file, say, or
+time windows of one store (:func:`iter_chunks_by_day` slices them with
+``LogStore.where(time_range=...)``):
 
     accumulator = StreamingAutoSens(config)
-    for chunk in read_jsonl_chunks("huge.jsonl.gz", rows_per_chunk=1_000_000):
-        accumulator.consume(chunk.where(action="SelectMail"))
+    for path in sorted(Path("logs").glob("day-*.jsonl")):
+        accumulator.consume(read_jsonl(path).where(action="SelectMail"))
     curve = accumulator.preference_curve()
 
 Caveat: the unbiased draw inside each chunk only sees that chunk's time

@@ -6,9 +6,13 @@ tracks one P² quantile estimator (O(1) memory) per user and produces a
 :class:`~repro.core.quartiles.QuartileAssignment`-compatible result.
 
     tracker = StreamingUserMedians()
-    for chunk in read_jsonl_chunks(...):
+    for chunk in iter_chunks_by_day(logs.successful()):
         tracker.consume(chunk)
-    assignment = tracker.assignment(min_actions_per_user=5)
+    assignment = tracker.assignment(logs, min_actions_per_user=5)
+
+(:func:`~repro.core.streaming.iter_chunks_by_day` yields time windows via
+``LogStore.where(time_range=...)``; per-day files read with
+:func:`~repro.telemetry.read_jsonl` work the same way.)
 """
 
 from __future__ import annotations

@@ -33,12 +33,12 @@ maps each class to a distinct exit code) can react differently:
 - :class:`DeadlineExceededError` — a supervised run blew its wall-clock
   budget and was cooperatively cancelled (see
   :mod:`repro.runtime.deadline`). CLI exit code 8.
-- :class:`CircuitOpenError` — a call was refused because its circuit
-  breaker is open after repeated failures (see
-  :mod:`repro.runtime.breaker`). CLI exit code 9.
 - :class:`MemoryBudgetError` — the memory governor refused an allocation
   that cannot fit the configured budget (see
   :mod:`repro.runtime.memory`). CLI exit code 10.
+
+CLI exit code 9 (once "circuit breaker open") is retired and not reused,
+so scripts that branch on exit codes keep their meaning.
 """
 
 from __future__ import annotations
@@ -132,22 +132,6 @@ class DeadlineExceededError(ReproError):
         super().__init__(message)
         self.budget_s = budget_s
         self.elapsed_s = elapsed_s
-
-
-class CircuitOpenError(ReproError):
-    """A circuit breaker refused the call because its circuit is open.
-
-    Carries the breaker name and how long until the breaker will admit a
-    half-open probe, so callers can distinguish "dependency known bad,
-    back off" from the underlying failure itself.
-    """
-
-    def __init__(self, name: str, retry_after_s: float = 0.0) -> None:
-        super().__init__(
-            f"circuit {name!r} is open; retry after {retry_after_s:.3g}s"
-        )
-        self.breaker_name = name
-        self.retry_after_s = retry_after_s
 
 
 class MemoryBudgetError(ReproError):

@@ -51,7 +51,7 @@ EVENT_TYPES = (
     "metric",        # a counter/gauge/histogram write through the facade
     "finding",       # a health probe finding was recorded
     "degradation",   # a degradation was recorded
-    "supervisor",    # breaker/deadline/watchdog/memory state change
+    "supervisor",    # deadline/watchdog/memory state change
     "stage",         # an executor announced a stage's task total
     "tasks",         # one or more tasks completed on an executor
     "run",           # run lifecycle (started/finished)

@@ -8,8 +8,8 @@ thing ``autosens doctor`` prints and the run manifest carries under
 
 Severity algebra is deliberately simple: a stage's verdict is the worst
 severity among its findings, the overall verdict is the worst stage, and
-runtime degradations (starved slices, tripped breakers, exceeded
-deadlines) count as ``warn`` findings on a synthetic ``runtime`` stage so
+runtime degradations (starved slices, exceeded deadlines, spilled
+sweeps) count as ``warn`` findings on a synthetic ``runtime`` stage so
 a faulted run can never report clean.
 """
 

@@ -180,7 +180,6 @@ def manifest_rows(manifest: Dict[str, Any]) -> List[Tuple[str, Any]]:
         for stage, verdict in sorted((health.get("stages") or {}).items()):
             rows.append((f"  health[{stage}]", verdict))
     supervisor_gauges = (
-        "autosens_breaker_state",
         "autosens_memory_governor_bytes",
         "autosens_deadline_remaining_s",
         "autosens_watchdog_requeues",

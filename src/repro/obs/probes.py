@@ -467,8 +467,8 @@ def probe_latency_regime(
     The default thresholds are a coarse tripwire sized for arbitrary
     scenarios (the seeded OU bottleneck scenario legitimately reaches a
     per-slot p99/p50 near 8.3 and a 4.5x median spread, and must stay
-    ``ok``).  Callers with a paired clean reference — the recovery
-    harness in :mod:`repro.analysis.recovery` — pass much tighter
+    ``ok``).  Callers with a paired clean reference — the paired-twin
+    harness in :mod:`repro.analysis.paired` — pass much tighter
     thresholds derived from the clean run's own metrics.
     """
     matrix = np.nan_to_num(
@@ -549,14 +549,14 @@ def probe_latency_regime(
 class PairedRegimeMargins:
     """Multipliers applied to a clean twin's regime metrics.
 
-    The paired harnesses (:mod:`repro.analysis.recovery`,
-    :mod:`repro.analysis.sensitivity`) probe a degraded run against its
-    clean same-seed twin: the twin's own per-slot tail ratio and median
-    spread, inflated by these margins, become the warn thresholds, and the
-    ``*_fail_factor`` multiples of the warn thresholds become the fail
-    thresholds. One definition here, surfaced in
+    The paired-twin harness (:mod:`repro.analysis.paired`, behind both
+    ``autosens recover`` and ``autosens sensitivity``) probes a perturbed
+    run against its clean same-seed twin: the twin's own per-slot tail
+    ratio and median spread, inflated by these margins, become the warn
+    thresholds, and the ``*_fail_factor`` multiples of the warn thresholds
+    become the fail thresholds. One definition here, surfaced in
     :class:`~repro.obs.health.HealthReport`, so the sensitivity suite can
-    sweep the margins instead of re-hardcoding them per harness.
+    sweep the margins.
     """
 
     tail: float = 1.35

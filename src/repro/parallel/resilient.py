@@ -17,12 +17,8 @@ inner executor's ``map_ordered``:
    :class:`~repro.errors.TaskFailedError` with the task name, attempt
    count and last cause.
 
-A :class:`~repro.runtime.breaker.CircuitBreaker` may additionally guard
-the serial recovery path: once recoveries keep failing the breaker opens
-and the executor stops feeding retries into a known-bad dependency,
-raising :class:`~repro.errors.CircuitOpenError` instead. An ambient
-:class:`~repro.runtime.deadline.Deadline` bounds the recovery loop at
-every task boundary.
+An ambient :class:`~repro.runtime.deadline.Deadline` bounds the recovery
+loop at every task boundary.
 
 Determinism is preserved throughout: results always come back in input
 order, and which backend (or journal) produced a result is unobservable.
@@ -85,13 +81,11 @@ class ResilientExecutor:
         retry: Optional[RetryPolicy] = None,
         checkpoint: Optional[CheckpointJournal] = None,
         sleep: Callable[[float], None] = time.sleep,
-        breaker: Optional[Any] = None,
     ) -> None:
         self.inner = inner if inner is not None else SerialExecutor()
         self.retry = retry or RetryPolicy()
         self.checkpoint = checkpoint
         self._sleep = sleep
-        self.breaker = breaker
 
     def map_ordered(
         self,
@@ -159,7 +153,6 @@ class ResilientExecutor:
                         policy=self.retry,
                         task_name=f"task[{i}]",
                         sleep=self._sleep,
-                        breaker=self.breaker,
                     ))
             for i, value in zip(pending, fresh):
                 results[i] = value

@@ -12,12 +12,6 @@ Data errors (:class:`~repro.errors.ReproError`) are *not* retried by
 default: a slice that is too sparse stays too sparse, and retrying it only
 burns time. The retryable set targets infrastructure faults — crashed
 workers, broken pools, timeouts, transient OS errors.
-
-A :class:`~repro.runtime.breaker.CircuitBreaker` can be threaded through
-:func:`call_with_retry`: attempts route through the breaker, so once the
-circuit opens the retry loop stops immediately with
-:class:`~repro.errors.CircuitOpenError` instead of burning its remaining
-attempts into a known-bad dependency.
 """
 
 from __future__ import annotations
@@ -28,12 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Tuple, Type
 
 import repro.obs as obs
-from repro.errors import (
-    CircuitOpenError,
-    ConfigError,
-    ReproError,
-    TaskFailedError,
-)
+from repro.errors import ConfigError, ReproError, TaskFailedError
 
 __all__ = ["RetryPolicy", "call_with_retry", "is_retryable", "JITTER_MODES"]
 
@@ -137,7 +126,6 @@ def call_with_retry(
     task_name: str = "task",
     sleep: Callable[[float], None] = time.sleep,
     retryable: Callable[[BaseException], bool] = is_retryable,
-    breaker: Optional[Any] = None,
 ) -> Any:
     """Invoke ``fn(*args)`` under a retry policy.
 
@@ -145,22 +133,13 @@ def call_with_retry(
     Retryable ones are re-attempted with backoff; once attempts are
     exhausted a :class:`~repro.errors.TaskFailedError` is raised carrying
     the task name, the attempt count and the last cause.
-
-    ``breaker`` (a :class:`~repro.runtime.breaker.CircuitBreaker`) routes
-    every attempt through the circuit: failures trip it, and once open the
-    loop stops immediately with :class:`~repro.errors.CircuitOpenError`
-    (never retried — the breaker already encodes "back off").
     """
     policy = policy or RetryPolicy()
     delays = policy.delays()
     last: Optional[BaseException] = None
     for attempt in range(1, policy.max_attempts + 1):
         try:
-            if breaker is not None:
-                return breaker.call(fn, *args)
             return fn(*args)
-        except CircuitOpenError:
-            raise  # the breaker said stop; retrying would defeat it
         except BaseException as exc:
             if not retryable(exc):
                 raise

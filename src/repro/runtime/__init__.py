@@ -1,29 +1,26 @@
-"""Supervised runtime: budgets, breakers, watchdogs and memory governance.
+"""Supervised runtime: budgets, watchdogs and memory governance.
 
 PR 2's resilience layer handles *failures* — crashed workers, dirty rows,
 starved slices. This package handles *degradation that never fails*: a
 run that would blow past its wall-clock budget, a worker that hangs
-without dying, a dependency that keeps timing out, a sweep whose working
-set outgrows memory. Four concerns, one composition point:
+without dying, a sweep whose working set outgrows memory. Three
+concerns, one composition point:
 
 - :mod:`repro.runtime.deadline` — wall-clock budgets with cooperative
   cancellation checkpoints through the pipeline's expensive stages.
-- :mod:`repro.runtime.breaker` — closed/open/half-open circuit breakers
-  that stop retry loops from feeding known-bad dependencies.
 - :mod:`repro.runtime.watchdog` — heartbeat-based detection (and
   SIGKILL + requeue) of live-but-stuck process workers.
 - :mod:`repro.runtime.memory` — working-set estimation, sweep admission
   control, and LRU disk spill of completed slices.
 
 :class:`~repro.runtime.supervisor.Supervisor` composes any subset and
-plugs into the degrade/manifest machinery so every shed slice, opened
-breaker, killed worker and spilled result is *recorded*, never silent.
+plugs into the degrade/manifest machinery so every shed slice, killed
+worker and spilled result is *recorded*, never silent.
 With no supervisor installed, every hook in the pipeline is a no-op and
 behavior (including obs artifacts) is byte-identical to an unsupervised
 build.
 """
 
-from repro.runtime.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.runtime.deadline import (
     Deadline,
     active_deadline,
@@ -43,10 +40,6 @@ __all__ = [
     "deadline_scope",
     "active_deadline",
     "check_deadline",
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
     "Watchdog",
     "HeartbeatWriter",
     "TaskHeartbeat",

@@ -1,8 +1,7 @@
 """The supervisor: one object composing every supervision concern.
 
 A :class:`Supervisor` bundles a :class:`~repro.runtime.deadline.Deadline`,
-a :class:`~repro.runtime.breaker.CircuitBreaker`, a
-:class:`~repro.runtime.watchdog.Watchdog` and a
+a :class:`~repro.runtime.watchdog.Watchdog` and a
 :class:`~repro.runtime.memory.MemoryGovernor` (any subset may be absent)
 and installs them for a run:
 
@@ -14,7 +13,7 @@ Inside the scope the deadline is ambient (every
 :func:`~repro.runtime.deadline.check_deadline` checkpoint observes it),
 the watchdog thread supervises worker heartbeats, and the sweep layer
 consults :func:`active_supervisor` for admission control and result
-spilling. Everything the supervisor sheds, trips, kills or spills is
+spilling. Everything the supervisor sheds, kills or spills is
 recorded through :func:`repro.obs.record_degradation`, so it lands in the
 run manifest exactly like PR 2's starved-slice degradations — degradation
 stays visible, never silent.
@@ -33,7 +32,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 import repro.obs as obs
-from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.deadline import Deadline, deadline_scope
 from repro.runtime.memory import MemoryGovernor
 from repro.runtime.watchdog import Watchdog
@@ -42,13 +40,11 @@ __all__ = ["Supervisor", "active_supervisor"]
 
 
 class Supervisor:
-    """Compose deadline, breaker, watchdog and memory governor for a run.
+    """Compose deadline, watchdog and memory governor for a run.
 
     Scalar conveniences mirror the CLI flags: ``deadline_s`` (a float
     budget or a prebuilt :class:`Deadline`), ``memory_budget_mb`` (a float
-    budget or a prebuilt :class:`MemoryGovernor`), ``breaker`` (``True``
-    for a default breaker or a prebuilt :class:`CircuitBreaker`) and
-    ``watchdog`` (``True`` for a default watchdog, a stall timeout float,
+    budget or a prebuilt :class:`MemoryGovernor`) and ``watchdog`` (``True`` for a default watchdog, a stall timeout float,
     or a prebuilt :class:`Watchdog`). ``workdir`` hosts the heartbeat
     spool and spill tier; a temp directory is created when omitted.
     """
@@ -56,7 +52,6 @@ class Supervisor:
     def __init__(
         self,
         deadline_s: Union[None, float, Deadline] = None,
-        breaker: Union[None, bool, CircuitBreaker] = None,
         watchdog: Union[None, bool, float, Watchdog] = None,
         memory_budget_mb: Union[None, float, MemoryGovernor] = None,
         workdir: Optional[Union[str, Path]] = None,
@@ -71,13 +66,6 @@ class Supervisor:
             self.deadline: Optional[Deadline] = deadline_s
         else:
             self.deadline = Deadline(float(deadline_s))
-
-        if isinstance(breaker, CircuitBreaker):
-            self.breaker: Optional[CircuitBreaker] = breaker
-        elif breaker:
-            self.breaker = CircuitBreaker(name="stage")
-        else:
-            self.breaker = None
 
         if isinstance(watchdog, Watchdog):
             self.watchdog: Optional[Watchdog] = watchdog
@@ -104,9 +92,7 @@ class Supervisor:
     @property
     def enabled(self) -> bool:
         """Is any supervision concern configured?"""
-        return any(
-            (self.deadline, self.breaker, self.watchdog, self.memory)
-        )
+        return any((self.deadline, self.watchdog, self.memory))
 
     def shed(self, kind: str, **detail: Any) -> None:
         """Record one shed unit of work (manifest + local log)."""
@@ -121,17 +107,14 @@ class Supervisor:
 
         Runs at scope entry/exit, after every shed, and (via
         :func:`active_supervisor`) just before each ``/metrics`` scrape, so
-        a scraper sees current breaker state, memory-governor occupancy and
-        deadline headroom rather than only transition-time values. The
+        a scraper sees current memory-governor occupancy, watchdog requeues
+        and deadline headroom rather than only transition-time values. The
         deadline gauge reads the wall clock, so deterministic runs skip it —
         their metrics artifact is part of the byte-identity contract.
         """
         ctx = obs.current()
         if not ctx.enabled:
             return
-        if self.breaker is not None:
-            obs.set_gauge("autosens_breaker_state", self.breaker.state_code,
-                          breaker=self.breaker.name)
         if self.memory is not None:
             obs.set_gauge("autosens_memory_governor_bytes",
                           float(self.memory.held_bytes()))
@@ -169,8 +152,6 @@ class Supervisor:
         names = []
         if self.deadline is not None:
             names.append("deadline")
-        if self.breaker is not None:
-            names.append("breaker")
         if self.watchdog is not None:
             names.append("watchdog")
         if self.memory is not None:
@@ -183,9 +164,6 @@ class Supervisor:
         if self.deadline is not None:
             out["deadline_s"] = self.deadline.budget_s
             out["deadline_elapsed_s"] = round(self.deadline.elapsed(), 3)
-        if self.breaker is not None:
-            out["breaker_state"] = self.breaker.state
-            out["breaker_trips"] = self.breaker.n_trips
         if self.watchdog is not None:
             out["watchdog_kills"] = len(self.watchdog.kills)
         if self.memory is not None:
@@ -196,8 +174,6 @@ class Supervisor:
         parts = []
         if self.deadline is not None:
             parts.append(f"deadline={self.deadline.budget_s}s")
-        if self.breaker is not None:
-            parts.append(f"breaker={self.breaker.state}")
         if self.watchdog is not None:
             parts.append("watchdog=on")
         if self.memory is not None:

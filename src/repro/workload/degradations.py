@@ -1,6 +1,6 @@
 """Composable telemetry degradation operators for the sensitivity suite.
 
-The recovery gates (:mod:`repro.analysis.recovery`) answer a binary
+The recovery gates (:mod:`repro.analysis.paired`) answer a binary
 question — does the estimator absorb a latency-regime incident? Real
 telemetry degrades *gradually* along different axes: collectors thin the
 stream when load peaks (irregular sampling), slow requests time out of the

@@ -8,7 +8,7 @@ failover shifts part of the fleet onto slow paths, autoscaling changes the
 way. Each :class:`IncidentSpec` here perturbs exactly the physical knob it
 corresponds to, on a schedule, and emits an :class:`IncidentWindow`
 annotation recording the ground-truth affected interval — so the recovery
-harness (:mod:`repro.analysis.recovery`) can ask "did the estimator survive
+harness (:mod:`repro.analysis.paired`) can ask "did the estimator survive
 *this* regime, and if not, did it say so?".
 
 Specs compose through :class:`IncidentPlan`, which derives one independent

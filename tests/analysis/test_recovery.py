@@ -1,28 +1,34 @@
-"""Ground-truth recovery gates: fixtures, verdicts, determinism, CLI.
+"""Ground-truth recovery gates: fixtures, verdicts, goldens, CLI.
 
 The contract pinned here (the queue backend's acceptance criterion): every
 incident fixture either recovers the incident-free NLP curve within
 tolerance or surfaces an explicit regime/health warning. A clean bill of
-health on a drifted curve — silent bias — fails the gate.
+health on a drifted curve — silent bias — fails the gate. Behaviours the
+recovery and sensitivity protocols share (fixture lookup, CLI exit codes,
+backend bit-identity) live in ``test_paired.py``.
 """
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.analysis.recovery import (
+from repro.analysis.paired import (
     RECOVERY_FIXTURES,
     RECOVERY_SCALES,
     VERDICT_EXPLAINED,
     VERDICT_RECOVERED,
     VERDICT_SILENT_BIAS,
-    _paired_regime_findings,
+    paired_regime_findings,
     run_recovery,
     run_recovery_suite,
 )
 from repro.errors import ConfigError
+
+GOLDEN_DIR = (Path(__file__).resolve().parents[1]
+              / "workload" / "golden" / "recovery")
 
 
 def _fake_logs(latencies, times=None):
@@ -60,10 +66,6 @@ class TestFixtureRegistry:
         with pytest.raises(ConfigError):
             RECOVERY_FIXTURES["load-spike"].scenario(7, "huge", True)
 
-    def test_unknown_fixture_rejected(self):
-        with pytest.raises(ConfigError):
-            run_recovery("no-such-fixture")
-
     def test_scales_defined(self):
         assert set(RECOVERY_SCALES) == {"small", "full"}
 
@@ -73,7 +75,7 @@ class TestPairedRegimeDetection:
         rng = np.random.default_rng(0)
         latencies = rng.lognormal(np.log(200.0), 0.4, size=20_000)
         logs = _fake_logs(latencies)
-        findings = _paired_regime_findings(logs, logs)
+        findings = paired_regime_findings(logs, logs)
         assert all(f["severity"] == "ok" for f in findings)
         assert all("clean_baseline" in f["context"] for f in findings)
 
@@ -86,12 +88,12 @@ class TestPairedRegimeDetection:
         hours = (clean.times // 3600) % 24
         window = (hours >= 10) & (hours < 12)
         contaminated[window] *= 8.0
-        findings = _paired_regime_findings(clean, _fake_logs(contaminated))
+        findings = paired_regime_findings(clean, _fake_logs(contaminated))
         assert any(f["severity"] != "ok" for f in findings)
 
     def test_tiny_logs_fall_back_without_raising(self):
         tiny = _fake_logs([100.0, 200.0, 300.0])
-        findings = _paired_regime_findings(tiny, tiny)
+        findings = paired_regime_findings(tiny, tiny)
         assert findings  # unpaired fallback still reports something
         assert all("severity" in f for f in findings)
 
@@ -130,17 +132,6 @@ class TestRecoveryRun:
         flagged = [f for f in outcome.regime if f["severity"] != "ok"]
         assert flagged
 
-    def test_serial_process_bit_identical(self):
-        serial = run_recovery("autoscale-step", seed=7, scale="small",
-                              executor="serial")
-        process = run_recovery("autoscale-step", seed=7, scale="small",
-                               executor="process")
-        a, b = serial.to_dict(), process.to_dict()
-        a.pop("executor"), b.pop("executor")
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-        assert np.array_equal(serial.curve.nlp, process.curve.nlp,
-                              equal_nan=True)
-
 
 class TestRecoverySuite:
     def test_suite_writes_diffable_artifacts(self, tmp_path):
@@ -163,18 +154,20 @@ class TestRecoverySuite:
         assert diff_exit_code(report) == 0
 
 
+class TestGoldens:
+    def test_default_goldens_match_a_fresh_run(self, tmp_path):
+        # Byte-identity of every committed artifact (curves, verdicts,
+        # summary) — stricter than CI's tolerance-based `obs diff` gate.
+        run_recovery_suite(out_dir=tmp_path)
+        fresh = sorted(p.name for p in tmp_path.iterdir())
+        assert fresh == sorted(p.name for p in GOLDEN_DIR.iterdir())
+        for name in fresh:
+            assert ((tmp_path / name).read_bytes()
+                    == (GOLDEN_DIR / name).read_bytes()), (
+                f"{name} drifted from golden")
+
+
 class TestRecoverCLI:
-    def test_unknown_fixture_exits_2(self, capsys):
-        from repro.cli.main import main
-
-        assert main(["recover", "no-such-fixture"]) == 2
-
-    def test_baseline_dir_requires_out_dir(self):
-        from repro.cli.main import main
-
-        assert main(["recover", "autoscale-step",
-                     "--baseline-dir", "/tmp/nowhere"]) == 2
-
     def test_single_fixture_gate_passes(self, tmp_path, capsys):
         from repro.cli.main import main
 

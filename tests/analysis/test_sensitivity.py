@@ -6,7 +6,9 @@ tolerance of its clean same-seed twin (``robust``) or degrades *loudly*
 refusal). A drifted curve with a clean bill of health — ``silent-bias`` —
 fails the gate. Frontier artifacts are a pure function of
 ``(fixture, scenario, seed, scale)``: byte-identical across executors
-and reruns.
+and reruns. Behaviours the recovery and sensitivity protocols share
+(fixture lookup, CLI exit codes, backend bit-identity) live in
+``test_paired.py``.
 """
 
 import importlib.util
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.sensitivity import (
+from repro.analysis.paired import (
     DEFAULT_SENSITIVITY_NAMES,
     SENSITIVITY_FIXTURES,
     SENSITIVITY_SCHEMA,
@@ -76,10 +78,6 @@ class TestFixtureRegistry:
             SensitivityFixture(name="x", description="", kind="degrade",
                                operator="mnar-latency", levels=())
 
-    def test_unknown_fixture_name_rejected(self):
-        with pytest.raises(ConfigError):
-            run_sensitivity("no-such-fixture")
-
     def test_unknown_scenario_and_scale_rejected(self):
         with pytest.raises(ConfigError):
             run_sensitivity("user-skew-mild", scenario="no-such-scenario")
@@ -115,23 +113,6 @@ class TestCleanTwinInvariance:
         assert cell["verdict"] == VERDICT_ROBUST
         assert cell["bias_linf"] == 0.0
         assert cell["ci_band_inflation"] == 1.0
-
-
-class TestExecutorEquivalence:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_process_frontier_bit_identical_to_serial(self, tmp_path,
-                                                      workers):
-        serial_dir = tmp_path / "serial"
-        proc_dir = tmp_path / f"proc{workers}"
-        run_sensitivity_suite(["user-skew-mild"], executor="serial",
-                              out_dir=serial_dir)
-        run_sensitivity_suite(["user-skew-mild"], executor=workers,
-                              out_dir=proc_dir)
-        name = "user-skew-mild.frontier.json"
-        assert ((serial_dir / name).read_text()
-                == (proc_dir / name).read_text())
-        assert ((serial_dir / "summary.json").read_text()
-                == (proc_dir / "summary.json").read_text())
 
 
 class TestSuiteArtifacts:
@@ -260,21 +241,10 @@ class TestGoldens:
 
 
 class TestSensitivityCLI:
-    def test_unknown_fixture_exits_2(self, capsys):
-        from repro.cli.main import main
-
-        assert main(["sensitivity", "no-such-fixture"]) == 2
-
     def test_unknown_scenario_exits_2(self, capsys):
         from repro.cli.main import main
 
         assert main(["sensitivity", "--scenario", "no-such-scenario"]) == 2
-
-    def test_baseline_dir_requires_out_dir(self):
-        from repro.cli.main import main
-
-        assert main(["sensitivity", "user-skew-mild",
-                     "--baseline-dir", "/tmp/nowhere"]) == 2
 
     def test_single_fixture_gate_passes_and_rebaselines(self, tmp_path,
                                                         capsys):
@@ -289,9 +259,3 @@ class TestSensitivityCLI:
                      "--out-dir", str(cand),
                      "--baseline-dir", str(out_dir)]) == 0
         assert "no baseline drift" in capsys.readouterr().out
-
-    def test_silent_bias_exits_1(self, capsys):
-        from repro.cli.main import main
-
-        assert main(["sensitivity", "user-skew-heavy", "--smoke"]) == 1
-        assert "FAIL — silent bias" in capsys.readouterr().out

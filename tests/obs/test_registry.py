@@ -153,7 +153,7 @@ class TestTrend:
         _record_run(registry)
         _record_run(registry)
         _record_run(registry, verdict="fail",
-                    degradations=[{"kind": "breaker_open"}])
+                    degradations=[{"kind": "deadline_exceeded"}])
         reports = registry.trend()
         assert trend_exit_code(reports) == 1
         assert reports[0]["summary"]["regressed"] == 0  # pair 1->2 clean

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.runtime import (
-    CircuitBreaker,
     Deadline,
     MemoryGovernor,
     Supervisor,
@@ -18,32 +17,28 @@ class TestCoercions:
         supervisor = Supervisor(workdir=tmp_path)
         assert not supervisor.enabled
         assert supervisor.deadline is None
-        assert supervisor.breaker is None
         assert supervisor.watchdog is None
         assert supervisor.memory is None
 
     def test_scalars_build_components(self, tmp_path):
         supervisor = Supervisor(
-            deadline_s=120.0, breaker=True, watchdog=15.0,
+            deadline_s=120.0, watchdog=15.0,
             memory_budget_mb=64.0, workdir=tmp_path,
         )
         assert supervisor.enabled
         assert supervisor.deadline.budget_s == 120.0
-        assert supervisor.breaker.name == "stage"
         assert supervisor.watchdog.stall_timeout_s == 15.0
         assert supervisor.memory.soft_limit_bytes == 64 * 1024 * 1024
 
     def test_prebuilt_components_pass_through(self, tmp_path):
         deadline = Deadline(5.0)
-        breaker = CircuitBreaker(name="ingest")
         watchdog = Watchdog(tmp_path / "hb", stall_timeout_s=3.0)
         governor = MemoryGovernor(1 << 20)
         supervisor = Supervisor(
-            deadline_s=deadline, breaker=breaker, watchdog=watchdog,
+            deadline_s=deadline, watchdog=watchdog,
             memory_budget_mb=governor, workdir=tmp_path,
         )
         assert supervisor.deadline is deadline
-        assert supervisor.breaker is breaker
         assert supervisor.watchdog is watchdog
         assert supervisor.memory is governor
 
@@ -99,15 +94,13 @@ class TestShedAndSummary:
 
     def test_summary_covers_configured_components(self, tmp_path):
         supervisor = Supervisor(
-            deadline_s=60.0, breaker=True, watchdog=10.0,
+            deadline_s=60.0, watchdog=10.0,
             memory_budget_mb=32.0, workdir=tmp_path,
         )
         summary = supervisor.summary()
         assert summary["shed"] == 0
         assert summary["deadline_s"] == 60.0
         assert summary["deadline_elapsed_s"] >= 0.0
-        assert summary["breaker_state"] == "closed"
-        assert summary["breaker_trips"] == 0
         assert summary["watchdog_kills"] == 0
         assert summary["memory"]["n_spills"] == 0
 
@@ -121,13 +114,11 @@ class TestExportGauges:
 
         with obs.session(enabled=True):
             supervisor = Supervisor(
-                deadline_s=60.0, memory_budget_mb=64, breaker=True,
+                deadline_s=60.0, memory_budget_mb=64,
                 watchdog=True, workdir=tmp_path)
             with supervisor.scope():
                 pass
             snapshot = obs.metrics().snapshot()
-            assert snapshot["autosens_breaker_state"]["series"][
-                '{breaker="stage"}'] == 0.0
             assert snapshot["autosens_memory_governor_bytes"]["series"][
                 ""] == 0.0
             assert snapshot["autosens_watchdog_requeues"]["series"][""] == 0.0
@@ -156,7 +147,7 @@ class TestExportGauges:
 
         with obs.session(enabled=True):
             sink = obs.attach_sink(obs.EventSink())
-            supervisor = Supervisor(deadline_s=60.0, breaker=True,
+            supervisor = Supervisor(deadline_s=60.0, memory_budget_mb=64,
                                     workdir=tmp_path)
             with supervisor.scope():
                 pass
@@ -164,4 +155,4 @@ class TestExportGauges:
                             if e["type"] == "supervisor"
                             and e.get("component") == "scope"]
             assert [e["phase"] for e in scope_events] == ["enter", "exit"]
-            assert scope_events[0]["concerns"] == ["deadline", "breaker"]
+            assert scope_events[0]["concerns"] == ["deadline", "memory"]

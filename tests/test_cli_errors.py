@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli.main import _exit_code_for, main
 from repro.errors import (
-    CircuitOpenError,
     ConfigError,
     DeadlineExceededError,
     EmptyDataError,
@@ -42,7 +41,6 @@ class TestExitCodeMapping:
         (PrivacyError("x"), 6),
         (TaskFailedError("t", 3), 7),
         (DeadlineExceededError("x"), 8),
-        (CircuitOpenError("dep"), 9),
         (MemoryBudgetError("x"), 10),
         (ReproError("x"), 1),
     ])
@@ -132,25 +130,11 @@ class TestSupervisionExits:
         assert status == 10
         assert "budget" in capsys.readouterr().err
 
-    def test_circuit_open_maps_to_9(self):
-        from repro.runtime import CircuitBreaker
-
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=60.0)
-        with pytest.raises(OSError):
-            breaker.call(_boom)
-        with pytest.raises(CircuitOpenError) as info:
-            breaker.call(_boom)
-        assert _exit_code_for(info.value) == 9
-
     def test_generous_budgets_run_clean(self, clean_log, capsys):
         status = main(["analyze", str(clean_log), "--deadline-s", "600",
-                       "--memory-budget-mb", "4096", "--breaker"])
+                       "--memory-budget-mb", "4096"])
         assert status == 0
         assert "NLP" in capsys.readouterr().out
-
-
-def _boom():
-    raise OSError("dependency down")
 
 
 class TestExperimentCheckpointFlag:

@@ -73,6 +73,6 @@ def test_error_hierarchy():
 
     for name in ("SchemaError", "EmptyDataError", "InsufficientDataError",
                  "ConfigError", "PrivacyError", "DeadlineExceededError",
-                 "CircuitOpenError", "MemoryBudgetError"):
+                 "MemoryBudgetError"):
         exc = getattr(errors, name)
         assert issubclass(exc, errors.ReproError)

@@ -100,7 +100,7 @@ PROFILE_SPAN_FIELDS = ("count", "cpu_self_s", "cpu_total_s", "wall_s",
                        "rss_peak_kb")
 DIFF_CLASSIFICATIONS = ("improved", "regressed", "unchanged", "added",
                         "removed")
-# Inlined from repro.analysis.sensitivity (importing it would pull numpy
+# Inlined from repro.analysis.paired (importing it would pull numpy
 # into this zero-dependency validator); the test suite asserts they match.
 SENSITIVITY_SCHEMA = "autosens.sensitivity/v1"
 SENSITIVITY_VERDICTS = ("robust", "degraded-explained", "silent-bias")
